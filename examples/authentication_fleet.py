@@ -15,7 +15,6 @@ Run:  python examples/authentication_fleet.py
 import time
 
 from repro.photonics.backend import resolve_backend
-from repro.photonics.shard import usable_cores
 from repro.protocols.mutual_auth import CRPDatabaseVerifier
 from repro.service import (
     AuditLogPolicy,
@@ -85,13 +84,7 @@ def main() -> None:
     print(f"{checks} CRP verifications in {elapsed * 1e3:.0f} ms "
           f"-> {checks / elapsed:.0f} auths/s")
 
-    print("\n=== sharded plane + staged micro-rounds (submit/poll) ===")
-    workers = max(1, min(2, usable_cores()))
-    plane = service.device_list[0].plane
-    executor = plane.shard(n_workers=workers)
-    print(f"plane sharded over {executor.n_workers} worker(s) "
-          f"({executor.memory_footprint_bytes() // 1024} KB shared memory, "
-          f"pool {'up' if executor.active else 'inline fallback'})")
+    print("\n=== staged micro-rounds (submit/poll) ===")
     start = time.perf_counter()
     tickets = [service.submit(device) for device in service.device_list]
     while service.coalescer.pending_count:    # trickle under the budget
@@ -101,9 +94,7 @@ def main() -> None:
     settled = sum(1 for ticket in tickets if ticket.accepted)
     print(f"{settled}/{fleet_size} individually-arriving requests settled "
           f"through {service.coalescer.micro_rounds} micro-round(s) in "
-          f"{elapsed * 1e3:.1f} ms (sharded rounds, bit-identical to the "
-          f"single-process plane)")
-    plane.close_executor()
+          f"{elapsed * 1e3:.1f} ms")
 
     print("\n=== one round over the versioned wire codec ===")
     nonces, challenge_frames = service.open_round_wire()

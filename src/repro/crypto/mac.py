@@ -81,9 +81,8 @@ def mac_batch(messages, keys) -> list:
     The fleet verifier's framing stage computes/checks one MAC per
     device per round; this batch entry point walks the round in one
     tight loop over the cached per-key digest states (see
-    :func:`_digest_states`), so the pipelined scheduler has a single
-    call to overlap with the next shard's plane pass.  Element ``i`` is
-    ``mac(messages[i], keys[i])``.
+    :func:`_digest_states`) instead of one call per device.  Element
+    ``i`` is ``mac(messages[i], keys[i])``.
     """
     if len(messages) != len(keys):
         raise ValueError(

@@ -203,33 +203,14 @@ class FleetRegistry:
             else:
                 groups.setdefault(id(plane), []).append(position)
                 planes[id(plane)] = plane
-        # Plane groups harvest through the staged path when available:
-        # with a sharded executor attached, each worker measures its
-        # shard's pool rows while the parent converts the previous
-        # shard's harvest into records.
-        staged_groups = []
         for key, positions in groups.items():
-            plane = planes[key]
-            rows = [devices[p].plane_row for p in positions]
-            stacked_blocks = np.stack([blocks[p] for p in positions])
-            if hasattr(plane, "evaluate_staged"):
-                staged = plane.evaluate_staged(
-                    stacked_blocks, measurements=measurement, dies=rows,
-                )
-            else:
-                staged = iter([(
-                    np.arange(len(positions)),
-                    plane.evaluate(stacked_blocks,
-                                   measurements=measurement, dies=rows),
-                )])
-            staged_groups.append((positions, staged))
-        for positions, staged in staged_groups:
-            for chunk, bits in staged:
-                for index, local in enumerate(np.asarray(chunk,
-                                                         dtype=np.intp)):
-                    harvested[positions[local]] = np.asarray(
-                        bits[index], dtype=np.uint8,
-                    )
+            bits = planes[key].evaluate(
+                np.stack([blocks[p] for p in positions]),
+                measurements=measurement,
+                dies=[devices[p].plane_row for p in positions],
+            )
+            for index, position in enumerate(positions):
+                harvested[position] = np.asarray(bits[index], dtype=np.uint8)
         records = [self._make_record(device, blocks[position],
                                      harvested[position])
                    for position, device in enumerate(devices)]

@@ -1,9 +1,9 @@
 """Device-side round flow: every device's Fig. 4 turn per plane pass.
 
 This module owns the *mechanism* of one authentication round's device
-turns — grouping plane-attached devices, dispatching the stacked tensor
-passes, and framing per-device messages while later shards are still
-propagating.  It is internal machinery consumed by
+turns — grouping plane-attached devices, running one stacked tensor
+pass per plane, and framing per-device messages.  It is internal
+machinery consumed by
 :meth:`repro.fleet.verifier.BatchVerifier.authenticate_fleet` and the
 lifecycle simulator; the supported public entry point is
 :class:`repro.service.AuthService`.  The former free functions
@@ -25,57 +25,27 @@ def respond_round_staged(
     nonces: Dict[str, bytes],
     tamper_factors: Optional[Dict[str, float]] = None,
 ) -> Iterator[Tuple[List[int], List]]:
-    """Device turns as a pipeline of per-shard stages.
-
-    Yields ``(positions, messages)`` chunks: the challenge-derivation
-    stage runs up front per plane group (one batched DRBG expansion),
-    the plane pass runs per shard (on the plane's sharded executor when
-    one is attached — see
-    :meth:`~repro.puf.photonic_strong.PhotonicFleet.shard`), and the
-    MAC-framing stage for shard ``i`` runs *while shard ``i + 1`` is
-    still propagating* — the consumer (the pipelined
-    :meth:`~repro.fleet.verifier.BatchVerifier.authenticate_fleet`)
-    likewise overlaps its verification stage with later shards' plane
-    passes.
+    """Device turns as ``(positions, messages)`` chunks, one per plane pass.
 
     Unattached devices (heterogeneous hardware, mid-campaign churn
     before re-stacking) fall back to their own batch-1
     :meth:`~repro.fleet.verifier.FleetDevice.respond` and are yielded as
-    the first chunk.  Concatenating all chunks by position reproduces
-    the flat :func:`respond_round` output exactly.
+    the first chunk.  Then each stacked plane answers for its attached
+    devices in one chunk: their next challenges are derived in one
+    batched DRBG expansion, the plane measures every fresh response in
+    one tensor pass, and each device frames its message.
+    ``positions`` index ``devices``; concatenating all chunks by
+    position reproduces the flat :func:`respond_round` output exactly.
     """
     tamper_factors = tamper_factors or {}
     fallback: List[int] = []
     groups: Dict[int, List[int]] = {}
-    planes: Dict[int, object] = {}
     for position, device in enumerate(devices):
         if (device.plane is None or device.plane_row is None
                 or device.current_response is None):
             fallback.append(position)
         else:
             groups.setdefault(id(device.plane), []).append(position)
-            planes[id(device.plane)] = device.plane
-    # Dispatch every plane group's pass first (an attached executor's
-    # workers start immediately), so the fallback devices' batch-1 turns
-    # and all per-shard framing below overlap the in-flight passes.
-    dispatched: List[tuple] = []
-    for key, positions in groups.items():
-        plane = planes[key]
-        members = [devices[p] for p in positions]
-        stored = np.vstack([device.current_response for device in members])
-        challenges = derive_challenge_batch(
-            stored, members[0].puf.challenge_bits
-        )
-        rows = [device.plane_row for device in members]
-        if hasattr(plane, "evaluate_staged"):
-            staged = plane.evaluate_staged(challenges[:, np.newaxis, :],
-                                           dies=rows)
-        else:  # duck-typed plane without a staged path: one chunk
-            staged = iter([(
-                np.arange(len(rows)),
-                plane.evaluate(challenges[:, np.newaxis, :], dies=rows),
-            )])
-        dispatched.append((positions, challenges, staged))
     if fallback:
         yield fallback, [
             devices[position].respond(
@@ -84,20 +54,24 @@ def respond_round_staged(
             )
             for position in fallback
         ]
-    for positions, challenges, staged in dispatched:
-        for chunk, fresh in staged:
-            chunk_positions: List[int] = []
-            messages: List = []
-            for index, local in enumerate(np.asarray(chunk, dtype=np.intp)):
-                position = positions[local]
-                device = devices[position]
-                chunk_positions.append(position)
-                messages.append(device.assemble_response(
-                    challenges[local], fresh[index, 0, :],
-                    nonces[device.device_id],
-                    tamper_factors.get(device.device_id, 1.0),
-                ))
-            yield chunk_positions, messages
+    for positions in groups.values():
+        members = [devices[p] for p in positions]
+        stored = np.vstack([device.current_response for device in members])
+        challenges = derive_challenge_batch(
+            stored, members[0].puf.challenge_bits
+        )
+        fresh = members[0].plane.evaluate(
+            challenges[:, np.newaxis, :],
+            dies=[device.plane_row for device in members],
+        )
+        yield positions, [
+            device.assemble_response(
+                challenges[index], fresh[index, 0, :],
+                nonces[device.device_id],
+                tamper_factors.get(device.device_id, 1.0),
+            )
+            for index, device in enumerate(members)
+        ]
 
 
 def respond_round(
@@ -109,8 +83,7 @@ def respond_round(
 
     Devices attached to a stacked execution plane are grouped: their next
     challenges are gathered first (:func:`derive_challenge_batch`), all
-    fresh responses come back from the plane's tensor pass — sharded
-    across worker cores when an executor is attached — and only the
+    fresh responses come back from the plane's tensor pass, and only the
     per-device message framing remains sequential.  Message order
     matches ``devices``.  (This is the flat view of
     :func:`respond_round_staged`.)

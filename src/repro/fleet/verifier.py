@@ -480,10 +480,10 @@ class BatchVerifier:
         ``AuthVerifier.process_response`` / ``finalize``, so a lost
         confirmation never desynchronizes the two sides.
 
-        The pipelined :meth:`authenticate_fleet` calls the underlying
-        :meth:`_verify_round_into` once per shard chunk instead, sharing
-        one report and duplicate-device set across the round; the two
-        produce identical reports for identical messages.
+        :meth:`authenticate_fleet` calls the underlying
+        :meth:`_verify_round_into` once per response chunk instead,
+        sharing one report and duplicate-device set across the round;
+        the two produce identical reports for identical messages.
         """
         report = BatchAuthReport()
         self._verify_round_into(report, responses, nonces, set())
@@ -821,15 +821,12 @@ class BatchVerifier:
     def authenticate_fleet(self, devices: Sequence[FleetDevice]) -> BatchAuthReport:
         """Run one full mutual-auth session for every device, in one call.
 
-        The round is a pipeline over shards: device turns stream out of
-        :func:`repro.fleet.rounds.respond_round_staged` one shard chunk
-        at a time (challenge
-        derivation up front, plane passes on the sharded executor's
-        workers when one is attached), and each chunk's MAC framing and
-        verification run *while the next shard's tensor pass is still in
-        flight*.  Without an executor there is a single chunk and the
-        flow reduces to the PR 3 batch path; either way the resulting
-        report, device state, and message bytes are identical.
+        Device turns come out of
+        :func:`repro.fleet.rounds.respond_round_staged` one chunk at a
+        time — the unattached devices' batch-1 turns, then one chunk per
+        stacked plane — and each chunk is verified as it arrives.  The
+        chunks share one report and one duplicate-device set, so the
+        result is identical to verifying the flat round at once.
         """
         nonces = self.open_round([device.device_id for device in devices])
         report = BatchAuthReport()
@@ -985,7 +982,7 @@ class RoundCoalescer:
     one at a time.  Authenticating each arrival alone would waste the
     stacked plane (a batch-1 tensor pass per device); the coalescer
     holds arrivals in a pending micro-round and flushes them through
-    one pipelined :meth:`BatchVerifier.authenticate_fleet` call when
+    one :meth:`BatchVerifier.authenticate_fleet` call when
 
     * the oldest pending request has waited ``latency_budget_s`` (the
       per-request latency cap trades batch efficiency against response
@@ -1132,7 +1129,6 @@ def provision_fleet(
     seed: int = 0,
     n_spot_crps: int = 0,
     stacked: bool = True,
-    shard_workers: Optional[int] = None,
     **puf_kwargs,
 ):
     """Deprecated shim over :meth:`repro.service.AuthService.provision`.
@@ -1146,9 +1142,7 @@ def provision_fleet(
     which yields bit-identical provisioning (same challenge streams,
     noise realisations, and enrollment records) plus the facade verbs
     on top.  The execution plane the service compiles stays attached to
-    the returned devices; shut its sharded executor down with
-    ``devices[0].plane.close_executor()`` when ``shard_workers`` was
-    used.
+    the returned devices.
     """
     _deprecated(
         "provision_fleet",
@@ -1160,7 +1154,7 @@ def provision_fleet(
         n_devices=n_devices,
         seed=seed,
         n_spot_crps=n_spot_crps,
-        engine=EngineConfig(stacked=stacked, shard_workers=shard_workers),
+        engine=EngineConfig(stacked=stacked),
         puf=puf_kwargs,
     ))
     return service.registry, service.device_list, service.verifier

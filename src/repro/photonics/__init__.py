@@ -10,10 +10,8 @@ per-die process variation and thermo-optic drift.
 from repro.photonics.backend import (
     ArrayBackend,
     BackendUnavailable,
-    CupyBackend,
     NumbaBackend,
     NumpyBackend,
-    TorchBackend,
     available_backend_names,
     backend_names,
     get_backend,
@@ -42,12 +40,6 @@ from repro.photonics.engine import (
     stacked_ring_scan,
 )
 from repro.photonics.fleet_engine import CompiledFleet
-from repro.photonics.shard import (
-    ShardedFleetExecutor,
-    ShardLayout,
-    shard_fleet,
-    usable_cores,
-)
 from repro.photonics.mesh import (
     DiscreteTimeRing,
     MixingLayer,
@@ -71,10 +63,8 @@ from repro.photonics.variation import (
 __all__ = [
     "ArrayBackend",
     "BackendUnavailable",
-    "CupyBackend",
     "NumbaBackend",
     "NumpyBackend",
-    "TorchBackend",
     "available_backend_names",
     "backend_names",
     "get_backend",
@@ -94,10 +84,6 @@ __all__ = [
     "SILICON_DN_DT",
     "CompiledFleet",
     "CompiledMesh",
-    "ShardLayout",
-    "ShardedFleetExecutor",
-    "shard_fleet",
-    "usable_cores",
     "environment_cache_key",
     "stacked_ring_scan",
     "DiscreteTimeRing",

@@ -341,7 +341,6 @@ class PhotonicFleet:
         pufs = list(pufs)
         if not pufs:
             raise ValueError("cannot stack an empty fleet")
-        self._executor = None
         self.backend = backend
         base = pufs[0]
         for puf in pufs[1:]:
@@ -407,49 +406,6 @@ class PhotonicFleet:
 
     def fleet_cache_size(self) -> int:
         return len(self._fleet_cache)
-
-    # -- sharded execution -------------------------------------------------
-
-    def shard(self, n_workers=None, env=NOMINAL_ENV, start_method=None):
-        """Attach a sharded multi-core executor over the compiled plane.
-
-        Compiles (or reuses) the stacked engine for ``env``, wraps it in
-        a :class:`~repro.photonics.shard.ShardedFleetExecutor` whose
-        worker pool maps the operators out of shared memory, and routes
-        every subsequent fleet interrogation *at that operating point*
-        through it.  Other operating points, and an executor that could
-        not start its workers, fall back to the single-process plane —
-        callers never see a second code path, only different wall clock.
-        """
-        from repro.photonics.shard import ShardedFleetExecutor
-
-        self.close_executor()
-        fleet = self.compiled_fleet(env)
-        self._executor = ShardedFleetExecutor(fleet, n_workers=n_workers,
-                                              start_method=start_method)
-        return self._executor
-
-    @property
-    def executor(self):
-        """The attached sharded executor, or ``None``."""
-        return self._executor
-
-    def detach_executor(self) -> None:
-        """Stop routing through the executor (does not stop its workers)."""
-        self._executor = None
-
-    def close_executor(self) -> None:
-        """Shut down the attached executor's workers and shared memory."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def _plane_for(self, fleet: CompiledFleet):
-        """The execution plane serving ``fleet``: sharded when attached."""
-        executor = self._executor
-        if executor is not None and executor.fleet is fleet:
-            return executor
-        return fleet
 
     def memory_footprint_bytes(self) -> int:
         """Stacked operators + response kernels across cached environments."""
@@ -549,7 +505,7 @@ class PhotonicFleet:
         measurements = self._measurement_list(measurements, rows)
         fleet = self.compiled_fleet(env_list)
         waves = self._drive_waves(challenges)
-        out = self._plane_for(fleet).modulated_response(
+        out = fleet.modulated_response(
             waves, base.launch_channel, dies=rows
         )
         power = out.real ** 2 + out.imag ** 2
@@ -561,34 +517,6 @@ class PhotonicFleet:
         energies += self._noise(rows, measurements, env_list, energies.shape)
         return energies
 
-    def _staged_readout(self, power: np.ndarray, sel_rows, sel_measurements,
-                        env_list, batch: int, slots: np.ndarray,
-                        spb: int) -> np.ndarray:
-        """Differential readout + per-die noise for one shard chunk.
-
-        ``power`` is the ``(chunk, batch, n_channels, slots * spb)``
-        bit-slot power of the dies in ``sel_rows``; the result is the
-        ``(chunk, batch, response_bits)`` bits.  Every step operates on
-        per-die rows only, so a chunked round produces bit for bit what
-        one whole-fleet pass produces.
-        """
-        base = self.base
-        energies = power.reshape(
-            len(sel_rows), batch, base.n_channels, slots.size, spb
-        ).mean(axis=4)
-        # The noise stream is drawn at full (n, total_slots) resolution —
-        # per-device equivalence requires consuming the identical draw —
-        # then subset to the compared slots.
-        noise = self._noise(
-            sel_rows, sel_measurements, env_list,
-            (len(sel_rows), batch, base.n_channels, base.total_slots),
-        )
-        energies += noise[..., slots]
-        slot_position = np.searchsorted(slots, base._assignment_slots)
-        upper = energies[..., base._assignment_pairs, slot_position]
-        lower = energies[..., base._assignment_pairs + 1, slot_position]
-        return (upper > lower).astype(np.uint8)
-
     def evaluate_staged(
         self,
         challenges: np.ndarray,
@@ -596,21 +524,11 @@ class PhotonicFleet:
         measurements=None,
         dies=None,
     ):
-        """Yield ``(positions, bits)`` response chunks, one per shard.
+        """Yield the selection's responses as one ``(positions, bits)`` chunk.
 
-        The staged twin of :meth:`evaluate`: with a sharded executor
-        attached, each chunk covers one shard's dies and is yielded as
-        soon as that worker finishes, so callers (the pipelined round
-        scheduler in :mod:`repro.fleet.verifier`) can frame/verify one
-        shard's messages while the next shard is still propagating.
-        ``positions`` indexes the selection; concatenating the chunks
-        reproduces :meth:`evaluate` bit for bit.  Without an executor a
-        single chunk covering the whole selection is yielded.
-
-        Setup — including dispatching the plane pass to the worker pool —
-        happens *eagerly* in this call; only the chunk harvest is lazy.
-        Callers can therefore start the pass, do unrelated work, and
-        iterate later.
+        Every plane interrogation :meth:`evaluate` serves runs here;
+        ``positions`` indexes the selection (always all of it) and
+        ``bits`` is the ``(fleet_sel, batch, response_bits)`` readout.
         """
         base = self.base
         challenges = np.asarray(challenges, dtype=np.uint8)
@@ -632,34 +550,24 @@ class PhotonicFleet:
         slots = np.unique(base._assignment_slots)
         samples = (slots[:, np.newaxis] * spb + np.arange(spb)).reshape(-1)
         batch = challenges.shape[1]
-        plane = self._plane_for(fleet)
-        if hasattr(plane, "submit_response_power"):
-            # Dispatch now (workers start propagating immediately) and
-            # hand back a lazy harvest over the in-flight submission.
-            submission = plane.submit_response_power(
-                waves, samples, base.launch_channel, dies=rows
-            )
-
-            def _harvest():
-                for positions, power in submission:
-                    yield positions, self._staged_readout(
-                        power,
-                        [rows[p] for p in positions],
-                        [measurements[p] for p in positions],
-                        env_list, batch, slots, spb,
-                    )
-
-            return _harvest()
-
-        def _single_chunk():
-            power = fleet.response_power_at(
-                waves, samples, base.launch_channel, dies=rows
-            )
-            yield np.arange(len(rows)), self._staged_readout(
-                power, rows, measurements, env_list, batch, slots, spb,
-            )
-
-        return _single_chunk()
+        power = fleet.response_power_at(
+            waves, samples, base.launch_channel, dies=rows
+        )
+        energies = power.reshape(
+            len(rows), batch, base.n_channels, slots.size, spb
+        ).mean(axis=4)
+        # The noise stream is drawn at full (n, total_slots) resolution —
+        # per-device equivalence requires consuming the identical draw —
+        # then subset to the compared slots.
+        noise = self._noise(
+            rows, measurements, env_list,
+            (len(rows), batch, base.n_channels, base.total_slots),
+        )
+        energies += noise[..., slots]
+        slot_position = np.searchsorted(slots, base._assignment_slots)
+        upper = energies[..., base._assignment_pairs, slot_position]
+        lower = energies[..., base._assignment_pairs + 1, slot_position]
+        yield np.arange(len(rows)), (upper > lower).astype(np.uint8)
 
     def evaluate(
         self,
@@ -674,25 +582,11 @@ class PhotonicFleet:
         slots, so this path evaluates exactly those output samples
         (:meth:`CompiledFleet.response_power_at`) instead of the full
         stream.  Noise streams still consume the full per-die draw, so
-        results match :meth:`slot_energies` + readout bit for bit.  With
-        a sharded executor attached the chunks of
-        :meth:`evaluate_staged` are gathered (bit-identical results,
-        many cores).
+        results match :meth:`slot_energies` + readout bit for bit.
         """
-        challenges = np.asarray(challenges, dtype=np.uint8)
-        out = None
-        for positions, bits in self.evaluate_staged(challenges, env,
-                                                    measurements, dies):
-            if out is None:
-                out = np.empty((challenges.shape[0], *bits.shape[1:]),
-                               dtype=np.uint8)
-            out[positions] = bits
-        if out is None:  # empty selection: no shard owned any die
-            out = np.empty(
-                (challenges.shape[0], challenges.shape[1],
-                 self.base.response_bits), dtype=np.uint8,
-            )
-        return out
+        __, bits = next(self.evaluate_staged(challenges, env, measurements,
+                                             dies))
+        return bits
 
 
 def photonic_strong_family(

@@ -1,12 +1,12 @@
 """Declarative fleet and engine configuration for :mod:`repro.service`.
 
 Every provisioning/execution knob that used to sprawl across
-``provision_fleet(stacked=..., shard_workers=...)``, ``RoundCoalescer``
+``provision_fleet(stacked=...)``, ``RoundCoalescer``
 constructor arguments, and ``FleetSimulator`` keyword arguments lives in
 two frozen dataclasses:
 
 * :class:`EngineConfig` — *how* measurements execute: the fleet-stacked
-  plane and the sharded multi-core executor;
+  plane and its compute backend;
 * :class:`FleetConfig` — *what* the fleet is and how the service runs
   it: fleet size, seeds, spot pools, PUF design knobs, coalescer
   budgets, the optional fault model for lifecycle simulation, and the
@@ -34,7 +34,7 @@ def _reject_unknown_keys(state: Mapping[str, Any], allowed, what: str) -> None:
     """Unknown config keys are an error, not silence.
 
     A silently-ignored key is a misconfiguration that looks healthy
-    (``sharded_workers: 8`` runs single-core forever); naming the
+    (``stackd: false`` keeps the stacked plane forever); naming the
     unknown and the allowed set makes the failure immediate and clear.
     """
     unknown = sorted(set(state) - set(allowed))
@@ -50,34 +50,22 @@ class EngineConfig:
     """Execution-engine knobs: how photonic measurements run.
 
     ``stacked`` compiles the whole die family into one fleet-stacked
-    execution plane (one tensor pass per round); ``shard_workers``
-    additionally attaches a sharded multi-core executor to that plane.
+    execution plane (one single-process tensor pass per round).
     ``stacked=False`` forces the per-die batch-1 path (the provisioning
     baseline the throughput benchmarks pin against).
 
     ``backend`` names the compute backend the stacked plane runs its
     hot primitives on (see :mod:`repro.photonics.backend`): ``"numpy"``
     (default, the bit-exactness reference), ``"numba"`` for JIT-compiled
-    CPU kernels, ``"cupy"``/``"torch"`` for GPU paths.  The name must be
+    CPU kernels.  The name must be
     registered; a registered-but-unavailable backend degrades to numpy
     at first use with a recorded ``degraded_reason``.
     """
 
     stacked: bool = True
-    shard_workers: Optional[int] = None
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.shard_workers is not None:
-            if int(self.shard_workers) < 1:
-                raise ValueError(
-                    f"shard_workers must be >= 1, got {self.shard_workers}"
-                )
-            if not self.stacked:
-                raise ValueError(
-                    "shard_workers requires stacked=True (the sharded "
-                    "executor runs on the fleet-stacked plane)"
-                )
         names = compute_backend_names()
         if self.backend not in names:
             raise ValueError(
@@ -92,17 +80,16 @@ class EngineConfig:
 
     def to_state(self) -> Dict[str, Any]:
         return {"stacked": bool(self.stacked),
-                "shard_workers": (None if self.shard_workers is None
-                                  else int(self.shard_workers)),
                 "backend": str(self.backend)}
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "EngineConfig":
-        _reject_unknown_keys(
-            state, ("stacked", "shard_workers", "backend"), "engine config"
-        )
+        # Engine states written while the sharded executor existed carry
+        # its worker count, which no longer configures anything.
+        state = {key: value for key, value in state.items()
+                 if key != "shard_workers"}
+        _reject_unknown_keys(state, ("stacked", "backend"), "engine config")
         return cls(stacked=bool(state.get("stacked", True)),
-                   shard_workers=state.get("shard_workers"),
                    backend=str(state.get("backend", "numpy")))
 
 

@@ -122,7 +122,6 @@ class AuthService:
         # instrument_service); None costs one attribute load per verb.
         self._obs = None
         self.coalescer = self._build_coalescer()
-        self._owned_plane = None
 
     def _build_coalescer(self) -> RoundCoalescer:
         coalescer = RoundCoalescer(
@@ -149,19 +148,15 @@ class AuthService:
         **once** into a fleet-stacked execution plane: provisioning
         responses and the optional spot-check pools are harvested as
         single stacked tensor passes, and every device is
-        plane-attached so subsequent rounds run one pass each.
-        ``config.engine.shard_workers`` additionally attaches a sharded
-        multi-core executor to the plane.  The challenge streams, noise
-        realisations, and resulting records are bit-identical to the
-        per-die path (``stacked=False``).
+        plane-attached so subsequent rounds run one pass each.  The
+        challenge streams, noise realisations, and resulting records are
+        bit-identical to the per-die path (``stacked=False``).
         """
         family = photonic_strong_family(config.n_devices, seed=config.seed,
                                         **config.puf)
         registry = FleetRegistry(config.make_registry_backend())
         plane = (family.stack(backend=config.engine.backend)
                  if config.engine.stacked else None)
-        if plane is not None and config.engine.shard_workers is not None:
-            plane.shard(n_workers=config.engine.shard_workers)
         verifier = BatchVerifier(registry, seed=config.seed,
                                  clock_tolerance=config.clock_tolerance)
         if plane is None:
@@ -192,10 +187,8 @@ class AuthService:
             device.attach_plane(plane, die)
         registry.enroll_fleet(devices, n_spot_crps=config.n_spot_crps,
                               seed=config.seed)
-        service = cls(registry, devices, verifier, config=config,
-                      policies=policies, clock=clock)
-        service._owned_plane = plane
-        return service
+        return cls(registry, devices, verifier, config=config,
+                   policies=policies, clock=clock)
 
     # -- fleet membership --------------------------------------------------
 
@@ -304,8 +297,8 @@ class AuthService:
 
         Policy vetoes (rate limits) are applied first — a denied device
         lands in the report without burning a nonce or a plane pass —
-        and the surviving devices run through the pipelined batch
-        verifier exactly as one fleet round.
+        and the surviving devices run through the batch verifier exactly
+        as one fleet round.
         """
         obs = self._obs
         started = self._clock() if obs is not None else 0.0
@@ -552,9 +545,7 @@ class AuthService:
                                            adversaries=adversaries, **kwargs)
 
     def close(self) -> None:
-        """Shut down the owned plane's executor and the registry backend."""
-        if self._owned_plane is not None:
-            self._owned_plane.close_executor()
+        """Close the registry backend."""
         self.registry.close()
 
     def __enter__(self) -> "AuthService":

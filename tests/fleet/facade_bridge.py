@@ -12,11 +12,10 @@ from repro.service import AuthService, EngineConfig, FleetConfig
 
 
 def provision_fleet(n_devices, seed=0, n_spot_crps=0, stacked=True,
-                    shard_workers=None, backend="numpy", **puf):
+                    backend="numpy", **puf):
     """Legacy-tuple provisioning through the supported facade."""
     service = AuthService.provision(FleetConfig(
         n_devices=n_devices, seed=seed, n_spot_crps=n_spot_crps,
-        engine=EngineConfig(stacked=stacked, shard_workers=shard_workers,
-                            backend=backend),
+        engine=EngineConfig(stacked=stacked, backend=backend),
         puf=puf))
     return service.registry, service.device_list, service.verifier

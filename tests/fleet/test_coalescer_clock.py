@@ -6,10 +6,14 @@ one tick later.  These are regression tests for that boundary, for the
 :attr:`RoundCoalescer.deadline` / :meth:`RoundCoalescer.time_to_deadline`
 timer API the network server schedules against, and for the server's
 flush timer reading the *same* injected clock as the coalescer
-(``AuthService.clock``) rather than its own ``time.monotonic``.
+(``AuthService.clock``) rather than its own ``time.monotonic``.  The
+size, duplicate-device and revocation triggers of the micro-round flush
+run on the same kind of clock, over a stacked fleet.
 """
 
 import asyncio
+
+import pytest
 
 from repro.fleet import RoundCoalescer
 from repro.service import AuthService, FleetConfig
@@ -103,6 +107,112 @@ class TestDeadlineBoundary:
         assert coalescer.time_to_deadline() == 0.0
         assert coalescer.poll() is not None
         assert ticket.accepted
+
+
+@pytest.fixture()
+def stacked_fleet():
+    return provision_fleet(10, seed=77, **CONFIG)
+
+
+class TestRoundCoalescer:
+    @pytest.fixture()
+    def clocked(self, stacked_fleet):
+        __, devices, verifier = stacked_fleet
+        now = [0.0]
+        coalescer = RoundCoalescer(verifier, latency_budget_s=1.0,
+                                   max_batch=4, clock=lambda: now[0])
+        return devices, coalescer, now
+
+    def test_holds_until_deadline(self, clocked):
+        devices, coalescer, now = clocked
+        ticket = coalescer.submit(devices[0])
+        assert coalescer.pending_count == 1
+        assert coalescer.poll() is None
+        assert not ticket.done
+        now[0] = 1.5
+        report = coalescer.poll()
+        assert report is not None and report.n_accepted == 1
+        assert ticket.done and ticket.accepted
+        assert coalescer.flushed_by_deadline == 1
+
+    def test_full_micro_round_flushes_immediately(self, clocked):
+        devices, coalescer, __ = clocked
+        tickets = [coalescer.submit(device) for device in devices[:4]]
+        assert coalescer.pending_count == 0
+        assert all(t.done and t.accepted for t in tickets)
+        assert coalescer.flushed_by_size == 1
+        assert coalescer.micro_rounds == 1
+
+    def test_duplicate_submission_flushes_first(self, clocked):
+        devices, coalescer, __ = clocked
+        first = coalescer.submit(devices[0])
+        second = coalescer.submit(devices[0])
+        assert first.done and first.accepted
+        assert not second.done
+        coalescer.flush()
+        assert second.done and second.accepted
+
+    def test_unknown_device_rejected_at_submit(self, clocked):
+        from repro.fleet import FleetDevice
+        from repro.protocols.mutual_auth import AuthenticationFailure
+        devices, coalescer, __ = clocked
+        stranger = FleetDevice("dev-stranger", devices[0].puf)
+        ticket = coalescer.submit(devices[0])
+        # A stray unenrolled request fails at the door, not mid-round.
+        with pytest.raises(AuthenticationFailure):
+            coalescer.submit(stranger)
+        assert coalescer.pending_count == 1
+        report = coalescer.flush()
+        assert report.n_accepted == 1 and ticket.accepted
+
+    def test_revoked_mid_coalesce_fails_only_that_ticket(self, clocked,
+                                                         stacked_fleet):
+        """Revocation between submit and flush rejects the victim only.
+
+        Regression: the revoked device used to reach ``open_round``,
+        which raised ``not-enrolled`` for the *whole* micro-round and
+        settled every ticket as failed.  The flush must screen revoked
+        devices out first so the survivors still authenticate.
+        """
+        registry, devices, verifier = stacked_fleet
+        __, coalescer, __ = clocked
+        survivor = coalescer.submit(devices[1])
+        victim = coalescer.submit(devices[2])
+        registry.revoke(devices[2].device_id)
+        verifier.evict(devices[2].device_id)
+        report = coalescer.flush()
+        assert report is not None and report.n_accepted == 1
+        assert survivor.done and survivor.accepted
+        assert victim.done and not victim.accepted
+        assert "revoked" in victim.failure
+        assert victim.failure_kind == "not-enrolled"
+        assert coalescer.pending_count == 0
+        assert coalescer.micro_rounds == 1
+
+    def test_whole_micro_round_revoked_is_noop_round(self, clocked,
+                                                     stacked_fleet):
+        registry, devices, verifier = stacked_fleet
+        __, coalescer, __ = clocked
+        ticket = coalescer.submit(devices[3])
+        registry.revoke(devices[3].device_id)
+        verifier.evict(devices[3].device_id)
+        # Every pending device gone: no round runs at all.
+        assert coalescer.flush() is None
+        assert ticket.done and not ticket.accepted
+        assert ticket.failure_kind == "not-enrolled"
+        assert coalescer.micro_rounds == 0
+
+    def test_flush_empty_is_noop(self, clocked):
+        __, coalescer, __ = clocked
+        assert coalescer.flush() is None
+        assert coalescer.micro_rounds == 0
+
+    def test_validation(self, stacked_fleet):
+        __, __, verifier = stacked_fleet
+        with pytest.raises(ValueError):
+            RoundCoalescer(verifier, latency_budget_s=-1.0)
+        with pytest.raises(ValueError):
+            RoundCoalescer(verifier, max_batch=0)
 
 
 class TestServerSharesTheInjectedClock:

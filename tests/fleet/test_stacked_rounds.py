@@ -17,6 +17,7 @@ from repro.fleet import (
     FaultModel,
     ReplayAdversary,
     respond_round as respond_fleet,
+    respond_round_staged,
 )
 from repro.protocols.mutual_auth import (
     derive_challenge,
@@ -126,6 +127,63 @@ class TestStackedRounds:
         for device in devices:
             verifier.abort(device.device_id)
             device._pending = None
+
+
+class TestStagedRounds:
+    """Rounds that arrive in several chunks: the fallback chunk of
+    detached devices, then one chunk per stacked plane."""
+
+    N = 10
+
+    def provision(self):
+        return provision_fleet(self.N, seed=77, stacked=True,
+                               n_spot_crps=8, **CFG)
+
+    def test_mixed_attached_detached_round(self):
+        """Part of the fleet detached: the round matches an attached one."""
+        __, devices1, verifier1 = self.provision()
+        __, devices2, verifier2 = self.provision()
+        for index in (1, 4, 8):
+            devices2[index].detach_plane()
+        report1 = verifier1.authenticate_fleet(devices1)
+        report2 = verifier2.authenticate_fleet(devices2)
+        assert report1.n_accepted == report2.n_accepted == self.N
+        assert report1.confirmations == report2.confirmations
+
+    def test_staged_chunks_reassemble_to_flat(self):
+        __, devices, verifier = self.provision()
+        devices[3].detach_plane()
+        nonces = verifier.open_round(
+            [device.device_id for device in devices])
+        chunks = list(respond_round_staged(devices, nonces))
+        assert [positions for positions, __ in chunks] == [
+            [3], [p for p in range(self.N) if p != 3]]
+        flat = [None] * self.N
+        for positions, messages in chunks:
+            for position, message in zip(positions, messages):
+                flat[position] = message
+        assert [m.device_id for m in flat] == [d.device_id for d in devices]
+        report = verifier.verify_round(flat, nonces)
+        assert report.n_accepted == self.N
+
+    def test_duplicate_device_rejected_across_chunks(self):
+        """One duplicate-device set spans every chunk of the round.
+
+        A detached clone of ``devices[0]`` (same identity and CRP state,
+        tampered integrity routine) answers in the fallback chunk and is
+        rejected there; the attached original's message then arrives in
+        the plane chunk and must be refused as a duplicate, not accepted.
+        """
+        __, devices, verifier = self.provision()
+        clone = FleetDevice.from_state(devices[0].to_state(),
+                                       devices[0].puf)
+        clone.clock_count = int(clone.clock_count * 1.5)
+        assert clone.plane is None
+        report = verifier.authenticate_fleet(list(devices) + [clone])
+        assert report.failure_kinds[devices[0].device_id] == \
+            "duplicate-device"
+        # Everyone else still authenticated.
+        assert report.n_accepted == self.N - 1
 
 
 class TestPlaneSemantics:

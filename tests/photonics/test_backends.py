@@ -6,7 +6,7 @@ reference: rtol-1e-9 float equivalence on the three hot primitives
 differential-readout comparison bits (responses are quantized before
 MACs, so float reassociation must never flip a bit), byte-identical
 round transcripts through the full authentication stack (hostile
-campaign, sharded executor, net server), and graceful numpy fallback
+campaign, net server), and graceful numpy fallback
 with a recorded ``degraded_reason`` when the backend is unavailable or
 fails its first-use self-check.  Optional-dependency backends skip
 cleanly where their toolchain is absent — the CI optional-deps lane
@@ -86,7 +86,7 @@ class _BrokenBackend(NumpyBackend):
 
 class TestRegistry:
     def test_standard_backends_registered(self):
-        assert {"numpy", "numba", "cupy", "torch"} <= set(backend_names())
+        assert {"numpy", "numba"} <= set(backend_names())
 
     def test_numpy_always_available_and_first(self):
         names = available_backend_names()
@@ -334,22 +334,7 @@ class TestEngineIntegration:
 
     def test_views_inherit_backend(self, scramblers):
         fleet = CompiledFleet.compile(scramblers, backend="mirror-test")
-        assert fleet.shard_view(1, 4).backend_name == "mirror-test"
         assert fleet.mesh(0).backend_name == "mirror-test"
-
-    def test_sharded_executor_resolves_backend_by_name(self, scramblers):
-        from repro.photonics.shard import ShardedFleetExecutor
-
-        reference = CompiledFleet.compile(scramblers)
-        routed = CompiledFleet.compile(scramblers, backend="mirror-test")
-        rng = np.random.default_rng(17)
-        waves = rng.standard_normal((6, 2, 64))
-        samples = np.arange(4, 64, 8)
-        with ShardedFleetExecutor(routed, n_workers=2) as executor:
-            sharded = executor.response_power_at(waves, samples, launch=0)
-        assert np.array_equal(
-            sharded, reference.response_power_at(waves, samples, launch=0)
-        )
 
 
 class TestEngineConfigBackend:
@@ -411,12 +396,12 @@ class TranscriptRecorder(Adversary):
         return messages
 
 
-def run_hostile_campaign(backend: str, shard_workers=None):
+def run_hostile_campaign(backend: str):
     """One seeded hostile campaign on the named backend; returns
     ``(frames, stats, snapshot)`` for byte-level comparison."""
     config = FleetConfig(
         n_devices=FLEET, seed=SEED, puf=FAST_PUF,
-        engine=EngineConfig(backend=backend, shard_workers=shard_workers),
+        engine=EngineConfig(backend=backend),
         fault_model=FaultModel(confirmation_drop=0.2, response_drop=0.05,
                                max_retries=4),
     )
@@ -463,14 +448,6 @@ class TestCampaignTranscriptEquality:
         # Unavailable backends run too: their campaigns must degrade to
         # numpy transparently and still produce identical bytes.
         assert_campaigns_identical(numpy_campaign, run_hostile_campaign(name))
-
-    def test_sharded_transcripts_bit_identical(self, numpy_campaign):
-        names = [name for name in available_backend_names()
-                 if name != "numpy"] or ["mirror-test"]
-        assert_campaigns_identical(
-            numpy_campaign,
-            run_hostile_campaign(names[0], shard_workers=1),
-        )
 
     def test_hostility_exercised(self, numpy_campaign):
         __, stats, __ = numpy_campaign

@@ -39,10 +39,6 @@ class TestConfigs:
             FleetConfig(n_devices=1, latency_budget_s=-0.1)
         with pytest.raises(ValueError):
             FleetConfig(n_devices=1, clock_tolerance=1.0)
-        with pytest.raises(ValueError):
-            EngineConfig(shard_workers=0)
-        with pytest.raises(ValueError):
-            EngineConfig(stacked=False, shard_workers=2)
         with pytest.raises(TypeError):
             FleetConfig(n_devices=1, engine="stacked")
         with pytest.raises(TypeError):
@@ -51,7 +47,7 @@ class TestConfigs:
     def test_state_round_trip(self):
         config = FleetConfig(
             n_devices=7, seed=9, n_spot_crps=16, clock_tolerance=0.04,
-            engine=EngineConfig(stacked=True, shard_workers=2),
+            engine=EngineConfig(stacked=False),
             latency_budget_s=0.25, max_batch=32,
             fault_model=FaultModel(confirmation_drop=0.2, max_retries=4),
             snapshot_path="/tmp/svc", puf=dict(FAST_PUF),
@@ -78,9 +74,25 @@ class TestConfigs:
 
     def test_with_engine(self):
         config = FleetConfig(n_devices=2)
-        sharded = config.with_engine(shard_workers=2)
-        assert sharded.engine.shard_workers == 2
-        assert config.engine.shard_workers is None
+        per_die = config.with_engine(stacked=False)
+        assert per_die.engine.stacked is False
+        assert config.engine.stacked is True
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_engine_state_with_shard_workers_still_loads(self, workers):
+        # Engine states written while the sharded executor existed carry
+        # a "shard_workers" entry; it is dropped on load.
+        state = {"stacked": True, "shard_workers": workers,
+                 "backend": "numpy"}
+        assert EngineConfig.from_state(state) == EngineConfig()
+        fleet_state = FleetConfig(n_devices=2).to_state()
+        fleet_state["engine"] = state
+        assert FleetConfig.from_state(fleet_state) == FleetConfig(n_devices=2)
+
+    def test_engine_state_other_unknown_keys_still_raise(self):
+        with pytest.raises(ValueError, match="unknown engine config"):
+            EngineConfig.from_state({"stacked": True, "shard_workers": 2,
+                                     "n_workers": 2})
 
 
 class TestVerbs:
