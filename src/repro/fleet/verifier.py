@@ -70,11 +70,14 @@ class FleetDevice:
     """Device side of the fleet protocol: a strong PUF plus rolling state.
 
     A device may additionally be *attached* to a fleet-stacked execution
-    plane (:meth:`attach_plane`): its PUF then answers round measurements
-    as one row of the plane's single tensor pass (see
-    :func:`respond_fleet`) instead of a batch-1 interrogation of its own.
-    The plane is runtime wiring, not durable state — a device restored
-    from a snapshot responds per-device until re-attached.
+    plane (:meth:`attach_plane`): every measurement it makes —
+    :meth:`respond`, :meth:`spot_responses`, and its share of a
+    :func:`~repro.fleet.rounds.respond_round` pass — is then a row of the
+    plane's operators, compiled once at provisioning, instead of an
+    interrogation through a per-die mesh of its own.  Noise streams and
+    measurement counters advance identically either way.  The plane is
+    runtime wiring, not durable state — a device restored from a
+    snapshot measures through its own PUF until re-attached.
     """
 
     def __init__(self, device_id: str, puf, initial_response=None,
@@ -107,7 +110,7 @@ class FleetDevice:
         self.plane_row = int(row)
 
     def detach_plane(self) -> None:
-        """Drop the stacked-plane wiring (device falls back to batch-1)."""
+        """Drop the stacked-plane wiring (device measures through its PUF)."""
         self.plane = None
         self.plane_row = None
 
@@ -148,16 +151,39 @@ class FleetDevice:
         self._pending = (challenge, new_response)
         return AuthResponse(self.device_id, body, tag)
 
+    def _measure(self, challenges: np.ndarray,
+                 measurement: Optional[int] = None) -> np.ndarray:
+        """Fresh responses to one challenge or a ``(batch, bits)`` block.
+
+        An attached device answers as its one row of the stacked plane;
+        otherwise its own PUF measures (a photonic PUF compiles a per-die
+        mesh on first use).  Either way one noise realisation is drawn
+        (``measurement`` pins it, ``None`` advances the PUF's counter
+        once).
+        """
+        challenges = np.asarray(challenges, dtype=np.uint8)
+        if self.plane is not None:
+            bits = self.plane.evaluate(
+                challenges.reshape(1, -1, challenges.shape[-1]),
+                measurements=measurement, dies=[self.plane_row],
+            )
+            return bits.reshape(challenges.shape[:-1] + (-1,))
+        measure = (self.puf.evaluate if challenges.ndim == 1
+                   else self.puf.evaluate_batch)
+        return np.asarray(measure(challenges, measurement=measurement),
+                          dtype=np.uint8)
+
     def respond(self, nonce: bytes, tamper_factor: float = 1.0) -> "AuthResponse":
         """One Fig. 4 device turn: fresh CRP measurement, masked + MAC'd.
 
-        ``tamper_factor`` scales the measured clock count, modelling the
-        slowdown a compromised integrity routine exhibits.
+        The measurement runs through the attached plane when there is
+        one (see :meth:`_measure`).  ``tamper_factor`` scales the measured
+        clock count, modelling the slowdown a compromised integrity
+        routine exhibits.
         """
         challenge = self.derive_next_challenge()
-        new_response = np.asarray(self.puf.evaluate(challenge), dtype=np.uint8)
-        return self.assemble_response(challenge, new_response, nonce,
-                                      tamper_factor)
+        return self.assemble_response(challenge, self._measure(challenge),
+                                      nonce, tamper_factor)
 
     def confirm(self, confirmation: bytes, nonce: bytes) -> None:
         """Check the verifier's mac' and roll the CRP forward."""
@@ -175,11 +201,12 @@ class FleetDevice:
 
     def spot_responses(self, challenges: np.ndarray,
                        measurement: Optional[int] = None) -> np.ndarray:
-        """Re-measure a block of challenges in one batched engine pass."""
-        return np.asarray(
-            self.puf.evaluate_batch(challenges, measurement=measurement),
-            dtype=np.uint8,
-        )
+        """Re-measure a ``(k, bits)`` block of challenges in one pass.
+
+        One noise realisation covers the block, through the attached
+        plane when there is one (see :meth:`_measure`).
+        """
+        return self._measure(np.atleast_2d(challenges), measurement)
 
     def to_state(self) -> dict:
         """Durable device state (the PUF itself is hardware, not state).

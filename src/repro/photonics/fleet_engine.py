@@ -268,6 +268,9 @@ class CompiledFleet:
     # (launch, n_samples) -> time-domain / spectral response kernels,
     # built lazily; mutating the cache dicts is compatible with frozen.
     _kernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (n_samples, selected samples) -> lag gather index of
+    # response_power_at; independent of fleet size and batch.
+    _lag_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # Lazily-resolved backend instance + degraded_reason (a dict so the
     # frozen dataclass can fill it in at first use).
     _backend_state: dict = field(
@@ -549,14 +552,8 @@ class CompiledFleet:
         h_imag = h_imag[indices]
         backend = self.compute_backend()
         n_sel_samples = samples.size
-        # Left-pad the waveforms so every lag index is in range, then one
-        # advanced-index gather builds each die's lag matrix directly in
-        # GEMM layout: column (b, j) of a die's ``(S, batch*T)`` matrix is
-        # drive waveform b reversed around selected sample t_j.
-        lag_index = (samples[np.newaxis, :] + (n_samples - 1)
-                     - np.arange(n_samples)[:, np.newaxis])       # (S, T)
-        batch_index = np.repeat(np.arange(batch), n_sel_samples)  # (batch*T,)
-        sample_index = np.tile(lag_index, (1, batch))             # (S, batch*T)
+        lag_index = self._lag_index(n_samples, samples)
+        batch_index = np.arange(batch)[:, np.newaxis]
         out = np.empty(
             (n_sel, batch, self.n_channels, n_sel_samples), dtype=np.float64
         )
@@ -568,21 +565,41 @@ class CompiledFleet:
                 [np.zeros((f1 - f0, batch, n_samples - 1)), waves[f0:f1]],
                 axis=-1,
             )
-            lag = padded[:, batch_index, sample_index]
+            lag = padded[:, batch_index, lag_index].reshape(
+                f1 - f0, n_samples, batch * n_sel_samples
+            )
             power = backend.kernel_gemm(h_real[f0:f1], h_imag[f0:f1], lag)
             out[f0:f1] = power.reshape(
                 f1 - f0, self.n_channels, batch, n_sel_samples
             ).transpose(0, 2, 1, 3)
         return out
 
+    def _lag_index(self, n_samples: int, samples: np.ndarray) -> np.ndarray:
+        """``(S, 1, T)`` index into left-padded drive waveforms, cached.
+
+        Gathering a die's ``(batch, S + S - 1)`` padded waveforms with it
+        (and the batch axis as ``(batch, 1)``) builds the ``(S, batch, T)``
+        lag matrix directly in GEMM layout: column ``(b, j)`` is drive
+        waveform ``b`` reversed around selected sample ``t_j``.
+        """
+        key = (int(n_samples), samples.tobytes())
+        cached = self._lag_cache.get(key)
+        if cached is None:
+            cached = (samples[np.newaxis, np.newaxis, :] + (n_samples - 1)
+                      - np.arange(n_samples)[:, np.newaxis, np.newaxis])
+            cached.setflags(write=False)
+            self._lag_cache[key] = cached
+        return cached
+
     # -- accounting --------------------------------------------------------
 
     def memory_footprint_bytes(self) -> int:
-        """Frozen operators plus cached response kernels."""
+        """Frozen operators, cached response kernels and gather indices."""
         total = (self.stage_matrices.nbytes + self.ring_b.nbytes
                  + self.ring_a.nbytes + self.static_matrix.nbytes)
         for entry in self._kernel_cache.values():
             total += sum(array.nbytes for array in entry[:3])
+        total += sum(index.nbytes for index in self._lag_cache.values())
         return total
 
     def per_die_bytes(self) -> int:

@@ -16,11 +16,14 @@ learnable (paper Sec. IV).
 Two execution planes serve interrogations:
 
 * per device, :class:`~repro.photonics.engine.CompiledMesh` via an
-  environment-keyed compilation cache (``slot_energies_batch``);
+  environment-keyed compilation cache (``slot_energies_batch``) — used
+  by devices that are not stacked;
 * per fleet, :class:`PhotonicFleet` stacks every die of a family into one
   :class:`~repro.photonics.fleet_engine.CompiledFleet` so a whole fleet's
   interrogations run as a single tensor pass — the engine behind
-  ``repro.fleet``'s batch authentication.
+  ``repro.fleet``'s batch authentication, and behind every single-device
+  turn of a plane-attached device, which runs as one row of the plane at
+  a cost independent of the fleet size.
 """
 
 from __future__ import annotations
@@ -363,6 +366,16 @@ class PhotonicFleet:
                 )
         self.pufs = pufs
         self._fleet_cache: Dict[Tuple, CompiledFleet] = {}
+        # Readout constants shared by every die: the compared bit slots,
+        # their output sample positions, and each response bit's column
+        # among them.
+        spb = base.modulator.samples_per_bit
+        self._readout_slots = np.unique(base._assignment_slots)
+        self._readout_samples = (
+            self._readout_slots[:, np.newaxis] * spb + np.arange(spb)
+        ).reshape(-1)
+        self._slot_position = np.searchsorted(self._readout_slots,
+                                              base._assignment_slots)
 
     def __len__(self) -> int:
         return len(self.pufs)
@@ -373,9 +386,10 @@ class PhotonicFleet:
 
     # -- compilation -------------------------------------------------------
 
-    def _env_list(self, env) -> List[PUFEnvironment]:
+    def _environment(self, env):
+        """One shared :class:`PUFEnvironment` as is, or a per-die list."""
         if isinstance(env, PUFEnvironment):
-            return [env] * len(self.pufs)
+            return env
         env = list(env)
         if len(env) != len(self.pufs):
             raise ValueError(
@@ -387,14 +401,22 @@ class PhotonicFleet:
         """The stacked engine for ``env`` (one or per-die), cached.
 
         Like the per-die cache, the key ignores detection noise: receiver
-        noise is added after propagation.
+        noise is added after propagation.  Every die shares one
+        interrogation chain, so one :class:`PUFEnvironment` is one optical
+        operating point and its lookup does no per-die work; a per-die
+        sequence naming a single operating point shares that entry.
         """
-        env_list = self._env_list(env)
         wavelength = self.base.laser.wavelength
-        opticals = [puf._optical_env(e)
-                    for puf, e in zip(self.pufs, env_list)]
-        key = tuple(environment_cache_key(wavelength, optical)
-                    for optical in opticals)
+        env = self._environment(env)
+        if isinstance(env, PUFEnvironment):
+            opticals = self.base._optical_env(env)
+            key = environment_cache_key(wavelength, opticals)
+        else:
+            opticals = [puf._optical_env(e)
+                        for puf, e in zip(self.pufs, env)]
+            keys = tuple(environment_cache_key(wavelength, optical)
+                         for optical in opticals)
+            key = keys[0] if len(set(keys)) == 1 else keys
         fleet = self._fleet_cache.get(key)
         if fleet is None:
             fleet = CompiledFleet.compile(
@@ -418,6 +440,13 @@ class PhotonicFleet:
         if dies is None:
             return list(range(len(self.pufs)))
         return [int(d) for d in dies]
+
+    @staticmethod
+    def _row_envs(env, rows: List[int]) -> List[PUFEnvironment]:
+        """The environment of each selected die (``env`` normalised)."""
+        if isinstance(env, PUFEnvironment):
+            return [env] * len(rows)
+        return [env[row] for row in rows]
 
     def _measurement_list(self, measurements, rows: List[int]) -> List[int]:
         if measurements is None:
@@ -449,7 +478,7 @@ class PhotonicFleet:
         n_samples = base.modulator.n_samples(base.total_slots)
         return waves.reshape(sel, batch, n_samples)
 
-    def _noise(self, rows, measurements, env_list, shape) -> np.ndarray:
+    def _noise(self, rows, measurements, row_envs, shape) -> np.ndarray:
         """Per-die detection noise, identical to the per-device streams.
 
         Seeds are derived per die exactly as
@@ -469,7 +498,7 @@ class PhotonicFleet:
         for position, rng in enumerate(derived_generators(seeds)):
             noise[position] = rng.normal(
                 0.0,
-                base.noise_mw * env_list[rows[position]].noise_scale,
+                base.noise_mw * row_envs[position].noise_scale,
                 size=shape[1:],
             )
         return noise
@@ -501,9 +530,10 @@ class PhotonicFleet:
                 f"challenges stack {challenges.shape[0]} dies, "
                 f"selection names {len(rows)}"
             )
-        env_list = self._env_list(env)
+        env = self._environment(env)
+        row_envs = self._row_envs(env, rows)
         measurements = self._measurement_list(measurements, rows)
-        fleet = self.compiled_fleet(env_list)
+        fleet = self.compiled_fleet(env)
         waves = self._drive_waves(challenges)
         out = fleet.modulated_response(
             waves, base.launch_channel, dies=rows
@@ -514,7 +544,7 @@ class PhotonicFleet:
             len(rows), challenges.shape[1], base.n_channels,
             base.total_slots, spb,
         ).mean(axis=4)
-        energies += self._noise(rows, measurements, env_list, energies.shape)
+        energies += self._noise(rows, measurements, row_envs, energies.shape)
         return energies
 
     def evaluate_staged(
@@ -542,31 +572,31 @@ class PhotonicFleet:
                 f"challenges stack {challenges.shape[0]} dies, "
                 f"selection names {len(rows)}"
             )
-        env_list = self._env_list(env)
+        env = self._environment(env)
+        row_envs = self._row_envs(env, rows)
         measurements = self._measurement_list(measurements, rows)
-        fleet = self.compiled_fleet(env_list)
+        fleet = self.compiled_fleet(env)
         waves = self._drive_waves(challenges)
-        spb = base.modulator.samples_per_bit
-        slots = np.unique(base._assignment_slots)
-        samples = (slots[:, np.newaxis] * spb + np.arange(spb)).reshape(-1)
+        slots = self._readout_slots
         batch = challenges.shape[1]
         power = fleet.response_power_at(
-            waves, samples, base.launch_channel, dies=rows
+            waves, self._readout_samples, base.launch_channel, dies=rows
         )
         energies = power.reshape(
-            len(rows), batch, base.n_channels, slots.size, spb
+            len(rows), batch, base.n_channels, slots.size,
+            base.modulator.samples_per_bit,
         ).mean(axis=4)
         # The noise stream is drawn at full (n, total_slots) resolution —
         # per-device equivalence requires consuming the identical draw —
         # then subset to the compared slots.
         noise = self._noise(
-            rows, measurements, env_list,
+            rows, measurements, row_envs,
             (len(rows), batch, base.n_channels, base.total_slots),
         )
         energies += noise[..., slots]
-        slot_position = np.searchsorted(slots, base._assignment_slots)
-        upper = energies[..., base._assignment_pairs, slot_position]
-        lower = energies[..., base._assignment_pairs + 1, slot_position]
+        upper = energies[..., base._assignment_pairs, self._slot_position]
+        lower = energies[..., base._assignment_pairs + 1,
+                         self._slot_position]
         yield np.arange(len(rows)), (upper > lower).astype(np.uint8)
 
     def evaluate(

@@ -87,6 +87,21 @@ class TestStackedCompilation:
         fleet.response_kernel(4, 64)
         assert fleet.memory_footprint_bytes() > total
 
+    def test_memory_accounting_counts_gather_index_once(self, scramblers):
+        fleet = CompiledFleet.compile(scramblers)
+        operators = fleet.memory_footprint_bytes()
+        h_real, h_imag, spectra, __ = fleet.response_kernel(4, 40)
+        kernels = h_real.nbytes + h_imag.nbytes + spectra.nbytes
+        samples = np.array([3, 17, 39])
+        # The gather index depends on the sampled positions only: every
+        # batch size reuses one (40, 1, 3) index.
+        for batch in (1, 6):
+            fleet.response_power_at(np.zeros((N_DIES, batch, 40)), samples,
+                                    launch=4)
+        index_bytes = 40 * samples.size * np.dtype(np.intp).itemsize
+        assert fleet.memory_footprint_bytes() == \
+            operators + kernels + index_bytes
+
 
 class TestStackedPropagation:
     def test_matches_compiled_and_loop_paths(self, fleet, scramblers, meshes):

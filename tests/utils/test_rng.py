@@ -83,3 +83,21 @@ class TestDeriveStandardNormalsBatch:
             generator.bit_generator.state = state
             assert generator.standard_normal() == \
                 np.random.default_rng(seed).standard_normal()
+
+
+class TestDerivedGenerators:
+    def test_streams_match_default_rng_around_the_crossover(self):
+        import numpy as np
+
+        from repro.utils.rng import _BATCHED_GENERATORS_MIN, derived_generators
+
+        for count in (1, _BATCHED_GENERATORS_MIN - 1, _BATCHED_GENERATORS_MIN,
+                      _BATCHED_GENERATORS_MIN + 1):
+            seeds = [derive_seed(5, "noise", i) for i in range(count - 1)]
+            seeds.append(7)     # one narrow seed on the batched path too
+            drawn = [rng.normal(size=(3, 5)) for rng in derived_generators(seeds)]
+            assert len(drawn) == count
+            for seed, draw in zip(seeds, drawn):
+                assert np.array_equal(
+                    draw, np.random.default_rng(seed).normal(size=(3, 5))
+                ), (count, seed)
