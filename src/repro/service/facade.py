@@ -397,7 +397,10 @@ class AuthService:
         Frames that fail to decode as a
         :class:`~repro.fleet.verifier.AuthResponse` raise
         :class:`~repro.service.codec.CodecError` — a transport must not
-        hand the protocol undecodable bytes.
+        hand the protocol undecodable bytes.  A transport that already
+        decoded the responses and needs the report as an object, not a
+        frame (the served micro-round), skips both codec round trips
+        through :meth:`_verify_round_report`, which this wraps.
         """
         messages: List[AuthResponse] = []
         for frame in frames:
@@ -408,6 +411,13 @@ class AuthService:
                     f"{type(message).__name__}"
                 )
             messages.append(message)
+        report, confirmations = self._verify_round_report(messages, nonces)
+        return encode_message(report), confirmations
+
+    def _verify_round_report(self, messages: Sequence[AuthResponse],
+                             nonces: Dict[str, bytes],
+                             ) -> Tuple[BatchAuthReport, Dict[str, bytes]]:
+        """Verify decoded responses: ``(report, confirmation frames)``."""
         obs = self._obs
         started = self._clock() if obs is not None else 0.0
         report = self.verifier.verify_round(messages, nonces)
@@ -418,7 +428,7 @@ class AuthService:
             device_id: encode_message(AuthConfirmation(device_id, mac))
             for device_id, mac in report.confirmations.items()
         }
-        return encode_message(report), confirmations
+        return report, confirmations
 
     # -- persistence -------------------------------------------------------
 

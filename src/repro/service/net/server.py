@@ -27,12 +27,18 @@ A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 3. scatter ``CHALLENGE`` frames to each device's connection;
 4. gather ``RESPONSE`` frames (bounded by ``response_timeout_s`` — a
    silent device fails *its own* ticket, never the round);
-5. one batched ``verify_round_wire``; scatter ``CONFIRMATION`` frames
-   (accepted) and ``RESULT`` frames (rejected, with the shared
+5. one batched verify of the decoded responses (the service's
+   ``verify_round_wire`` minus its codec: no response is re-encoded
+   and the round report stays an object); scatter ``CONFIRMATION``
+   frames (accepted) and ``RESULT`` frames (rejected, with the shared
    ``FailureKind`` taxonomy);
 6. each device acks with ``REQUEST(finalize)`` (or ``abort``) to
    commit the two-phase CRP roll; a connection that dies before its
-   ack is aborted, keeping both sides on the old CRP.
+   ack is aborted, keeping both sides on the old CRP.  A confirmation
+   is registered as unacked *before* its frame is written, so an ack
+   that lands while the write drains always finds it, and the abort
+   is fenced with the round nonce, so it can never tear down a later
+   round's session.
 
 Isolation and flow control
 --------------------------
@@ -48,11 +54,21 @@ buffers (``set_write_buffer_limits``) with drain timeouts, so one slow
 or stuck peer cannot pin a round or the server's memory.  Shutdown
 drains: pending tickets flush, in-flight rounds finish, and unacked
 confirmations are aborted before the loop stops.
+
+Per-frame work stays off the event loop's bookkeeping.  Each scatter
+gathers one connection's frames (its CHALLENGEs, later its
+CONFIRMATION and RESULT frames) into one buffer, hands it to the
+transport as one write, and drains that connection once, under
+``frame_timeout_s``.  The slow-loris guard of
+:func:`~repro.service.net.stream.read_frame` is a loop timer, not a
+Task, so a frame that is already buffered is read with no Task and no
+extra loop turn.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -60,6 +76,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.fleet.verifier import AuthResponse
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.instrument import RegistryBackedCounters
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
@@ -182,17 +199,22 @@ class _Connection:
         self.routes: Dict[str, Deque["_WireRound"]] = {}
         self.explicit: Optional["_ExplicitRound"] = None
         self.spot_pending: Dict[str, Tuple[np.ndarray, float]] = {}
-        self.ack_pending: Set[str] = set()
+        # device_id -> round nonce of a confirmation awaiting its ack
+        self.ack_pending: Dict[str, bytes] = {}
         self._write_lock = asyncio.Lock()
 
-    async def send(self, frame: bytes) -> bool:
-        """Write one frame; ``False`` (and close) if the peer is gone
-        or too slow to drain — a stuck writer must not pin a round."""
+    async def send(self, *frames: bytes) -> bool:
+        """Write ``frames`` as one transport write, then drain once;
+        ``False`` (and close) if the peer is gone or too slow to drain
+        — a stuck writer must not pin a round."""
         if self.closed:
             return False
+        batch = io.BytesIO()
+        for frame in frames:
+            write_frame(batch, frame)
         try:
             async with self._write_lock:
-                write_frame(self.writer, frame)
+                self.writer.write(batch.getvalue())
                 await asyncio.wait_for(self.writer.drain(),
                                        self.server.config.frame_timeout_s)
         except (ConnectionError, asyncio.TimeoutError, RuntimeError):
@@ -217,19 +239,16 @@ class _Connection:
 class _WireRound:
     """One scattered micro-round: who owes a RESPONSE, what arrived."""
 
-    def __init__(self, entries: List[Tuple[_Connection, str]]):
-        self.entries = entries
-        self.order = [device_id for __, device_id in entries]
-        self.conn_of = {device_id: conn for conn, device_id in entries}
-        self.nonces: Dict[str, bytes] = {}
-        self.responses: Dict[str, bytes] = {}   # arrival order (dict)
-        self.outstanding: Set[str] = set(self.order)
+    def __init__(self, device_ids: List[str]):
+        # decoded RESPONSE messages, in arrival order (dict)
+        self.responses: Dict[str, AuthResponse] = {}
+        self.outstanding: Set[str] = set(device_ids)
         self.complete = asyncio.Event()
 
-    def deliver(self, device_id: str, frame: bytes) -> None:
-        if device_id in self.outstanding:
-            self.responses[device_id] = frame
-            self.lose(device_id)
+    def deliver(self, message: AuthResponse) -> None:
+        if message.device_id in self.outstanding:
+            self.responses[message.device_id] = message
+            self.lose(message.device_id)
 
     def lose(self, device_id: str) -> None:
         self.outstanding.discard(device_id)
@@ -242,7 +261,7 @@ class _ExplicitRound:
 
     def __init__(self, nonces: Dict[str, bytes]):
         self.nonces = nonces
-        self.frames: List[bytes] = []    # raw RESPONSE frames, in order
+        self.responses: List[AuthResponse] = []   # decoded, in order
         # A hostile gateway may stuff unboundedly many frames into one
         # round; past this the connection is rejected, not the round.
         self.max_frames = max(64, 4 * len(nonces))
@@ -290,6 +309,8 @@ class AuthServer:
         self._conns: Set[_Connection] = set()
         self._handlers: Set[asyncio.Task] = set()
         self._rounds: Set[asyncio.Task] = set()
+        # (connection, device_id) of every connection's ack_pending:
+        # what shutdown must abort.
         self._ack_pending: Set[Tuple[_Connection, str]] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._flush_task: Optional[asyncio.Task] = None
@@ -494,48 +515,62 @@ class AuthServer:
                                       f"micro-round failed: {failure}",
                                       failure.kind.value)
             return
-        round_ = _WireRound(live)
-        round_.nonces = nonces
+        round_ = _WireRound(ids)
+        owed: Dict[_Connection, List[str]] = {}
         for conn, device_id in live:
             conn.routes.setdefault(device_id, deque()).append(round_)
-            if not await conn.send(challenge_frames[device_id]):
-                self._drop_route(conn, device_id, round_)
+            owed.setdefault(conn, []).append(device_id)
+        for conn, device_ids in owed.items():
+            if not await conn.send(*(challenge_frames[device_id]
+                                     for device_id in device_ids)):
+                # The device cannot answer: settle it as silent now
+                # rather than hold the round to response_timeout_s.
+                for device_id in device_ids:
+                    self._drop_route(conn, device_id, round_)
+                    round_.lose(device_id)
         if round_.outstanding:
             try:
                 await asyncio.wait_for(round_.complete.wait(),
                                        self.config.response_timeout_s)
             except asyncio.TimeoutError:
                 self.metrics.responses_timed_out += len(round_.outstanding)
-        answered = list(round_.responses)           # arrival order
-        frames = [round_.responses[d] for d in answered]
-        report_frame, confirmation_frames = self.service.verify_round_wire(
-            frames, nonces)
-        report = decode_message(report_frame)
+        report, confirmation_frames = self.service._verify_round_report(
+            list(round_.responses.values()), nonces)   # arrival order
+        replies: Dict[_Connection, List[bytes]] = {}
+        confirmed: Dict[_Connection, List[str]] = {}
         for conn, device_id in live:
             self._drop_route(conn, device_id, round_)
+            frames = replies.setdefault(conn, [])
             if device_id in report.confirmations:
-                # Expose before the frame is written: from here the
-                # device may roll, so the parked candidate must survive
-                # any later unambiguous abort (see BatchVerifier.abort).
+                # Expose and await the ack before the frame is written:
+                # from here the device may roll, so the parked candidate
+                # must survive any later unambiguous abort (see
+                # BatchVerifier.abort), and its finalize may land while
+                # the write below drains.
                 self.service.verifier.expose(device_id)
-                if await conn.send(confirmation_frames[device_id]):
-                    conn.ack_pending.add(device_id)
-                    self._ack_pending.add((conn, device_id))
-                    self.metrics.auths_accepted += 1
-                else:
-                    self._abort_unacked(conn, device_id)
+                self._expect_ack(conn, device_id, nonces[device_id])
+                confirmed.setdefault(conn, []).append(device_id)
+                frames.append(confirmation_frames[device_id])
             elif device_id in report.failures:
-                await self._fail_auth(
-                    conn, device_id, report.failures[device_id],
+                frames.append(self._failure_frame(
+                    device_id, report.failures[device_id],
                     report.failure_kinds.get(device_id,
                                              FailureKind.UNSPECIFIED.value),
-                )
+                ))
             else:
-                await self._fail_auth(
-                    conn, device_id,
-                    "no response before the round deadline",
+                frames.append(self._failure_frame(
+                    device_id, "no response before the round deadline",
                     FailureKind.TIMEOUT.value,
-                )
+                ))
+        for conn, frames in replies.items():
+            accepted = confirmed.get(conn, ())
+            if await conn.send(*frames):
+                self.metrics.auths_accepted += len(accepted)
+                continue
+            # Roll back the confirmations no ack settled meanwhile.
+            for device_id in accepted:
+                if conn.ack_pending.get(device_id) == nonces[device_id]:
+                    self._abort_unacked(conn, device_id)
 
     @staticmethod
     def _drop_route(conn: _Connection, device_id: str,
@@ -549,14 +584,35 @@ class AuthServer:
             if not queue:
                 conn.routes.pop(device_id, None)
 
-    async def _fail_auth(self, conn: _Connection, device_id: str,
-                         reason: str, kind: str) -> None:
+    def _failure_frame(self, device_id: str, reason: str,
+                       kind: str) -> bytes:
         self.metrics.auths_failed += 1
-        await conn.send_message(SessionResult(
+        return encode_message(SessionResult(
             "auth", device_id, ok=False,
             detail={"failure": reason.encode("utf-8"),
                     "kind": kind.encode("utf-8")},
         ))
+
+    async def _fail_auth(self, conn: _Connection, device_id: str,
+                         reason: str, kind: str) -> None:
+        await conn.send(self._failure_frame(device_id, reason, kind))
+
+    def _expect_ack(self, conn: _Connection, device_id: str,
+                    nonce: bytes) -> None:
+        conn.ack_pending[device_id] = nonce
+        self._ack_pending.add((conn, device_id))
+
+    def _settle_ack(self, conn: _Connection, device_id: str,
+                    token: Optional[bytes]) -> None:
+        """Forget an unacked confirmation its finalize/abort settled.
+
+        A stale ack (another round's ``token``) leaves the entry alone:
+        it settled nothing the verifier still holds for this round.
+        """
+        nonce = conn.ack_pending.get(device_id)
+        if nonce is not None and (token is None or bytes(token) == nonce):
+            del conn.ack_pending[device_id]
+            self._ack_pending.discard((conn, device_id))
 
     def _abort_unacked(self, conn: _Connection, device_id: str) -> None:
         # The confirmation may already have reached the device before the
@@ -564,10 +620,11 @@ class AuthServer:
         # verifier carries a shared CommitLog the parked candidate
         # survives, and the device's next message settles which side of
         # the commit it landed on (see BatchVerifier._recover_interrupted).
+        # The round nonce fences it: a later round's session survives.
         self.metrics.acks_aborted += 1
-        conn.ack_pending.discard(device_id)
+        nonce = conn.ack_pending.pop(device_id, None)
         self._ack_pending.discard((conn, device_id))
-        self.service.verifier.abort(device_id, ambiguous=True)
+        self.service.verifier.abort(device_id, ambiguous=True, token=nonce)
 
     # -- connection handling ---------------------------------------------
 
@@ -688,7 +745,6 @@ class AuthServer:
     async def _dispatch(self, conn: _Connection,
                         message: WireMessage) -> bool:
         """Handle one decoded frame; ``False`` closes the connection."""
-        from repro.fleet.verifier import AuthResponse
         if isinstance(message, AuthResponse):
             try:
                 self._route_response(conn, message)
@@ -714,14 +770,15 @@ class AuthServer:
         return False
 
     def _route_response(self, conn: _Connection, message) -> None:
+        # The decoded message travels on: nothing re-encodes it.
         if conn.explicit is not None:
-            if len(conn.explicit.frames) >= conn.explicit.max_frames:
+            if len(conn.explicit.responses) >= conn.explicit.max_frames:
                 raise CodecError("explicit round overflow")
-            conn.explicit.frames.append(encode_message(message))
+            conn.explicit.responses.append(message)
             return
         queue = conn.routes.get(message.device_id)
         if queue:
-            queue[0].deliver(message.device_id, encode_message(message))
+            queue[0].deliver(message)
         # else: unsolicited — drop silently; it must not poison anything.
 
     async def _handle_request(self, conn: _Connection,
@@ -814,10 +871,11 @@ class AuthServer:
                    for raw in decode_fields(params.get("ids", b""))]
             nonces, challenge_frames = self.service.open_round_wire(ids)
             conn.explicit = _ExplicitRound(nonces)
-            for round_device in nonces:
-                await conn.send(challenge_frames[round_device])
-            await conn.send_message(SessionResult(
-                "open-round", detail={"count": str(len(nonces)).encode()}))
+            await conn.send(
+                *(challenge_frames[round_device] for round_device in nonces),
+                encode_message(SessionResult(
+                    "open-round",
+                    detail={"count": str(len(nonces)).encode()})))
             return
         if verb == "close-round":
             explicit = conn.explicit
@@ -826,13 +884,12 @@ class AuthServer:
                     "no gateway round open on this connection",
                     FailureKind.NO_SESSION)
             conn.explicit = None
-            report_frame, confirmation_frames = \
-                self.service.verify_round_wire(explicit.frames,
-                                               explicit.nonces)
-            for accepted_id, frame in confirmation_frames.items():
+            report, confirmation_frames = self.service._verify_round_report(
+                explicit.responses, explicit.nonces)
+            for accepted_id in confirmation_frames:
                 self.service.verifier.expose(accepted_id)
-                await conn.send(frame)
-            await conn.send(report_frame)
+            await conn.send(*confirmation_frames.values(),
+                            encode_message(report))
             return
         if verb == "finalize":
             # The "round" param (the challenge nonce) fences the ack to
@@ -840,15 +897,13 @@ class AuthServer:
             # finalize must not commit a later pending session.
             self.service.verifier.finalize(device_id,
                                            token=params.get("round"))
-            conn.ack_pending.discard(device_id)
-            self._ack_pending.discard((conn, device_id))
+            self._settle_ack(conn, device_id, params.get("round"))
             await conn.send_message(SessionResult("finalize", device_id))
             return
         if verb == "abort":
             self.service.verifier.abort(device_id,
                                         token=params.get("round"))
-            conn.ack_pending.discard(device_id)
-            self._ack_pending.discard((conn, device_id))
+            self._settle_ack(conn, device_id, params.get("round"))
             await conn.send_message(SessionResult("abort", device_id))
             return
         if verb in ("metrics", "trace"):

@@ -13,6 +13,13 @@ enforces the two transport-level failure modes the codec cannot see:
   byte per epoch times out (:class:`asyncio.TimeoutError`) instead of
   pinning a connection handler forever.
 
+Both timeouts run without a Task per frame: a deadline is one loop
+timer that, should it fire, fails the reader itself
+(:meth:`asyncio.StreamReader.set_exception`), so the pending
+``readexactly`` raises where it waits.  A frame that is already
+buffered is read without a single suspension.  The reader stays failed
+afterwards — a timed-out peer is evicted, never read again.
+
 A clean EOF *between* frames returns ``None`` (orderly disconnect); an
 EOF *inside* a frame raises :class:`~repro.service.codec.CodecError`
 with the shared ``malformed`` taxonomy kind, exactly like a truncated
@@ -34,10 +41,35 @@ MAX_FRAME_BYTES = 1 << 20
 _LENGTH = struct.Struct(">I")
 
 
-async def _within(coro, timeout: Optional[float]):
-    if timeout is None:
-        return await coro
-    return await asyncio.wait_for(coro, timeout)
+class _Deadline:
+    """Fail ``reader`` with :class:`asyncio.TimeoutError` at ``timeout``.
+
+    A context manager around the reads one timeout bounds; ``None``
+    arms nothing.  Leaving it disarms the timer, and raises the timeout
+    if it fired, even when the last byte landed in the same loop turn.
+    """
+
+    __slots__ = ("reader", "handle", "expired")
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 timeout: Optional[float]):
+        self.reader = reader
+        self.expired = False
+        self.handle = None if timeout is None else \
+            asyncio.get_running_loop().call_later(timeout, self._expire)
+
+    def _expire(self) -> None:
+        self.expired = True
+        self.reader.set_exception(asyncio.TimeoutError())
+
+    def __enter__(self) -> "_Deadline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.handle is not None:
+            self.handle.cancel()
+        if self.expired:
+            raise asyncio.TimeoutError()
 
 
 async def read_frame(reader: asyncio.StreamReader, *,
@@ -54,32 +86,32 @@ async def read_frame(reader: asyncio.StreamReader, *,
     oversized prefixes raise :class:`CodecError` (``malformed``).
     """
     try:
-        first = await _within(reader.readexactly(1), idle_timeout)
+        with _Deadline(reader, idle_timeout):
+            first = await reader.readexactly(1)
     except asyncio.IncompleteReadError as exc:
         if exc.partial:
             raise CodecError("connection closed inside a frame "
                              "length prefix") from exc
         return None
-
-    async def _rest() -> bytes:
-        try:
-            prefix = first + await reader.readexactly(_LENGTH.size - 1)
-            (length,) = _LENGTH.unpack(prefix)
+    try:
+        with _Deadline(reader, frame_timeout):
+            (length,) = _LENGTH.unpack(
+                first + await reader.readexactly(_LENGTH.size - 1))
             if length > max_bytes:
                 raise CodecError(
                     f"frame of {length} bytes exceeds the "
                     f"{max_bytes}-byte transport ceiling"
                 )
             return await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise CodecError(
-                "connection closed mid-frame "
-                f"({len(exc.partial)} of {exc.expected} bytes)"
-            ) from exc
-
-    return await _within(_rest(), frame_timeout)
+    except asyncio.IncompleteReadError as exc:
+        raise CodecError(
+            "connection closed mid-frame "
+            f"({len(exc.partial)} of {exc.expected} bytes)"
+        ) from exc
 
 
-def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-    """Queue one frame on the writer (callers ``await writer.drain()``)."""
+def write_frame(writer, frame: bytes) -> None:
+    """Queue one frame on ``writer``: an :class:`asyncio.StreamWriter`
+    (callers ``await writer.drain()``) or any buffer with ``write``,
+    such as the :class:`io.BytesIO` a batched send gathers frames in."""
     writer.write(_LENGTH.pack(len(frame)) + frame)
